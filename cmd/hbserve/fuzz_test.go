@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hbtree"
 )
@@ -114,6 +117,95 @@ func FuzzServeProtocol(f *testing.F) {
 		}
 		if quit && cmd != "QUIT" {
 			t.Fatalf("line %q closed the session", line)
+		}
+	})
+}
+
+// chunkReader hands out data in pseudo-random chunks of 1..64 bytes, so
+// line boundaries and bursts fall at arbitrary points of the stream.
+type chunkReader struct {
+	data  []byte
+	state uint64
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	r.state = r.state*6364136223846793005 + 1442695040888963407
+	n := min(int(r.state>>58)+1, len(p), len(r.data))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// Stream fuzz servers: a serial reference, the burst loop on the direct
+// path, and the burst loop on the coalescer. All three see every input
+// in the same order, so their states stay identical across executions.
+var (
+	streamOnce sync.Once
+	streamRef  *server
+	streamDir  *server
+	streamCo   *server
+)
+
+func streamServersInit(f *testing.F) {
+	f.Helper()
+	streamOnce.Do(func() {
+		pairs := hbtree.GeneratePairs[uint64](1<<10, 42)
+		build := func(cfg serveConfig) *server {
+			tree, err := hbtree.New(pairs, hbtree.Options{Variant: hbtree.Regular, BucketSize: 64})
+			if err != nil {
+				f.Fatal(err)
+			}
+			s, err := newServer(tree, cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			return s
+		}
+		streamRef = build(serveConfig{})
+		streamDir = build(serveConfig{})
+		streamCo = build(serveConfig{coalesce: true, window: 20 * time.Microsecond, maxBatch: 16})
+	})
+}
+
+// FuzzServeStream splits an arbitrary byte stream at arbitrary points
+// and feeds it to the connection loop: it must never panic or hang, and
+// its reply stream must equal the serial transcript of the same lines
+// through handleLine. The coalesced server's STATS counters differ from
+// the direct reference by design, so its transcript is compared only
+// for inputs without a STATS command.
+func FuzzServeStream(f *testing.F) {
+	seeds := []string{
+		"GET 5\nGET 6\nGET 7\n",
+		"GET 5\nPUT 5 9\nGET 5\nDEL 5\nGET 5\n",
+		"GET 1\nGET\nGET abc\nGET 99999999999999999999\nGET 2\n",
+		"GET 1\r\nget 2\r\n\r\n   \nGET\t3\nGET  4 \n",
+		"GET 1\nQUIT\nGET 2\n",
+		"PUT 7 1\nGET 7\nRANGE 0 3\nGET 7\nSTATS\nGET 8",
+		"GET 18446744073709551615\nGET 0\nGET 00042\nGET +5\nGET -1\n",
+		"GET 1\nGET 1\nGET 1\nFLY\nGET 1\n",
+		"GET 1 2\nGET 3\nGET 4\xff\nEPOCH\nDESCRIBE\n",
+	}
+	for i, s := range seeds {
+		f.Add([]byte(s), uint64(i))
+	}
+	streamServersInit(f)
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		if len(data) > 16<<10 {
+			return
+		}
+		want := serialTranscript(streamRef, data)
+		var got bytes.Buffer
+		streamDir.serveStream(&chunkReader{data: data, state: seed}, &got)
+		if got.String() != want {
+			t.Fatalf("direct burst loop differs from the serial transcript\ninput: %q\ngot:  %q\nwant: %q", data, got.String(), want)
+		}
+		got.Reset()
+		streamCo.serveStream(&chunkReader{data: data, state: seed}, &got)
+		if !bytes.Contains(bytes.ToUpper(data), []byte("STATS")) && got.String() != want {
+			t.Fatalf("coalesced burst loop differs from the serial transcript\ninput: %q\ngot:  %q\nwant: %q", data, got.String(), want)
 		}
 	})
 }

@@ -26,15 +26,24 @@
 // Connections are served concurrently through the hbtree.Server
 // reader/writer contract; with -coalesce, GETs from all connections are
 // coalesced into bucket-sized heterogeneous batch searches (the paper's
-// intended operating point), and -coalesce-pending bounds each window
-// with backpressure or (-coalesce-shed) fail-fast shedding. -shards T
-// replaces the single tree with a key-space sharded server: T trees,
-// each with its own snapshot pointer and update pump, so writes clone
-// 1/T of the data and rebuilds overlap. PUT/DEL drive the regular
-// variant's batch update path through the per-mode writer discipline.
-// SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight
-// requests — including dispatched per-shard update jobs — before
-// exiting.
+// intended operating point), and -coalesce-pending bounds the in-flight
+// GETs server-wide — one window shared by every coalescer queue, per
+// shard group with -shards — with backpressure or (-coalesce-shed)
+// fail-fast shedding. -shards T replaces the single tree with a
+// key-space sharded server: T trees, each with its own snapshot pointer
+// and update pump, so writes clone 1/T of the data and rebuilds
+// overlap. PUT/DEL drive the regular variant's batch update path through
+// the per-mode writer discipline. SIGINT/SIGTERM trigger a graceful
+// shutdown that drains in-flight requests — including dispatched
+// per-shard update jobs — before exiting.
+//
+// Pipelined GETs are batched per read burst: once a line is read, the
+// server keeps taking lines while a complete line is already buffered,
+// submits the burst's well-formed GETs to the coalescer as one batch,
+// and writes the replies in request order with one flush per burst. Any
+// non-GET line (and a malformed GET) is an ordering barrier: the GETs
+// before it are answered first, then the line runs, so a GET after a
+// PUT on the same connection sees the PUT.
 //
 // Failures map to machine-parseable ERR codes so clients can pick the
 // right reaction (see README "Error codes"):
@@ -43,10 +52,11 @@
 //	ERR DEADLINE                        the -deadline budget expired; retrying may help
 //	ERR CLOSED                          the server is shutting down; do not retry here
 //
-// -deadline bounds each GET/PUT/DEL; -fault-* arm the deterministic
-// GPU fault injector (kernel/transfer/allocation failure rates, reset
-// bursts) so degraded-mode serving — circuit breaker, CPU-only
-// fallback — can be exercised end to end against a live server.
+// -deadline bounds each PUT/DEL and each burst of GETs; -fault-* arm
+// the deterministic GPU fault injector (kernel/transfer/allocation
+// failure rates, reset bursts) so degraded-mode serving — circuit
+// breaker, CPU-only fallback — can be exercised end to end against a
+// live server.
 //
 // The server bulk-loads a synthetic uniform dataset at startup, or
 // restores a snapshot written by -save via -load.
@@ -69,12 +79,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -143,6 +155,7 @@ type backend interface {
 type coalescer interface {
 	Lookup(uint64) (uint64, bool, error)
 	LookupCtx(context.Context, uint64) (uint64, bool, error)
+	SubmitBatch(ctx context.Context, keys, vals []uint64, found []bool, errs []error)
 	Shed() int64
 	ShedRate() float64
 	AdmitWindow() int
@@ -347,36 +360,224 @@ func (s *server) shutdown() {
 	s.srv.Close()
 }
 
-// Per-connection buffers are pooled so the steady state of a busy
-// listener does not allocate per accept: the scanner's read buffer and
-// the bufio.Writer are recycled across connections, and every
+// readBufSize is the per-connection read buffer; a line longer than it
+// closes the connection.
+const readBufSize = 64 << 10
+
+// maxBurst bounds the GETs one burst can hold: a burst only takes lines
+// that sit in the read buffer together, and the shortest GET line is
+// "GET 0\n" (the last one may lack its newline at end of stream).
+const maxBurst = readBufSize/len("GET 0\n") + 1
+
+// Per-connection state is pooled so the steady state of a busy listener
+// does not allocate per accept: the read buffer, the bufio.Writer and
+// the burst scratch are recycled across connections, and every
 // handleLine call borrows a lineScratch for tokenizing and encoding.
 var (
-	writerPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 4<<10) }}
-	scanBufPool = sync.Pool{New: func() any { b := make([]byte, 64<<10); return &b }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 4<<10) }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
+	burstPool  = sync.Pool{New: func() any { return newBurstScratch(64) }}
 )
 
 func (s *server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	bp := scanBufPool.Get().(*[]byte)
-	// max == len(*bp): the scanner can never regrow the buffer, so the
-	// pooled slice is exactly what comes back.
-	sc.Buffer(*bp, len(*bp))
-	defer scanBufPool.Put(bp)
+	s.serveStream(conn, conn)
+}
+
+// serveStream is the connection loop. Once a line has been read it keeps
+// taking lines while a complete line is already buffered, so a client's
+// pipelined requests are handled as one burst: the well-formed GETs of
+// the burst are answered by one SubmitBatch, and the replies go out in
+// request order with one Flush per burst. Every other line — a
+// malformed GET included — is an ordering barrier: the GETs taken
+// before it are answered first, then the line runs through handleLine,
+// so a GET after a PUT on the same connection sees the PUT. A partial
+// trailing line ends the burst; it never holds back the replies of the
+// GETs already taken.
+func (s *server) serveStream(rd io.Reader, wr io.Writer) {
+	r := readerPool.Get().(*bufio.Reader)
+	r.Reset(rd)
 	w := writerPool.Get().(*bufio.Writer)
-	w.Reset(conn)
+	w.Reset(wr)
+	bs := burstPool.Get().(*burstScratch)
 	defer func() {
-		w.Reset(io.Discard) // drop the conn reference before pooling
+		// Drop the connection references before pooling.
+		r.Reset(nil)
+		w.Reset(io.Discard)
+		readerPool.Put(r)
 		writerPool.Put(w)
+		burstPool.Put(bs)
 	}()
 	defer w.Flush()
-	for sc.Scan() {
-		quit := s.handleLine(w, sc.Text())
-		if err := w.Flush(); err != nil || quit {
+	for {
+		// A read happens only at a burst boundary, where every GET taken
+		// so far has been answered, or with a complete line buffered,
+		// which returns without blocking.
+		line, err := r.ReadSlice('\n')
+		if err != nil && (err != io.EOF || len(line) == 0) {
+			return // closed, failed, or a line longer than the buffer
+		}
+		if s.takeLine(w, bs, line) {
 			return
 		}
+		if err != nil || !lineBuffered(r) {
+			s.answer(w, bs)
+			if err != nil || w.Flush() != nil {
+				return
+			}
+		}
 	}
+}
+
+// lineBuffered reports whether a complete line is already in r's buffer.
+func lineBuffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// takeLine adds one line (with or without its newline) to the burst: a
+// well-formed GET joins the pending keys; any other line answers them
+// and then runs through handleLine. It returns true when the session
+// should end.
+func (s *server) takeLine(w io.Writer, bs *burstScratch, line []byte) (quit bool) {
+	// Line framing as bufio.ScanLines: drop the newline and one
+	// carriage return before it.
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	if k, ok := parseGET(line); ok {
+		bs.keys = append(bs.grow(), k)
+		if len(bs.keys) == maxBurst {
+			s.answer(w, bs)
+		}
+		return false
+	}
+	s.answer(w, bs)
+	return s.handleLine(w, string(line))
+}
+
+// burstScratch is one connection's burst: the keys of the GETs taken
+// since the last reply, their answers, and the reply encoder. Its
+// capacity grows with the largest burst the connection has sent and
+// never past maxBurst.
+type burstScratch struct {
+	keys  []uint64
+	vals  []uint64
+	found []bool
+	errs  []error
+	enc   lineScratch
+}
+
+func newBurstScratch(n int) *burstScratch {
+	return &burstScratch{
+		keys:  make([]uint64, 0, n),
+		vals:  make([]uint64, n),
+		found: make([]bool, n),
+		errs:  make([]error, n),
+		enc:   lineScratch{buf: make([]byte, 0, 64)},
+	}
+}
+
+// grow returns keys with room for one more, growing the scratch (at
+// most to maxBurst) when it is full.
+func (bs *burstScratch) grow() []uint64 {
+	if len(bs.keys) < cap(bs.keys) {
+		return bs.keys
+	}
+	n := min(max(2*cap(bs.keys), 16), maxBurst)
+	keys := make([]uint64, len(bs.keys), n)
+	copy(keys, bs.keys)
+	bs.keys = keys
+	bs.vals = make([]uint64, n)
+	bs.found = make([]bool, n)
+	bs.errs = make([]error, n)
+	return bs.keys
+}
+
+// answer serves the burst's pending GETs and writes their replies in
+// request order: one SubmitBatch when coalescing (under one -deadline
+// budget for the burst), direct lookups otherwise.
+func (s *server) answer(w io.Writer, bs *burstScratch) {
+	n := len(bs.keys)
+	if n == 0 {
+		return
+	}
+	vals, found, errs := bs.vals[:n], bs.found[:n], bs.errs[:n]
+	if s.co != nil {
+		if s.deadline > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), s.deadline)
+			s.co.SubmitBatch(ctx, bs.keys, vals, found, errs)
+			cancel()
+		} else {
+			s.co.SubmitBatch(context.Background(), bs.keys, vals, found, errs)
+		}
+	} else {
+		for i, k := range bs.keys {
+			vals[i], found[i] = s.srv.Lookup(k)
+			errs[i] = nil
+		}
+	}
+	for i := range n {
+		switch {
+		case errs[i] != nil:
+			io.WriteString(w, s.errReply(errs[i]))
+		case found[i]:
+			bs.enc.writeUintLine(w, "VALUE ", vals[i])
+		default:
+			io.WriteString(w, "NOTFOUND\n")
+		}
+	}
+	clear(errs)
+	bs.keys = bs.keys[:0]
+}
+
+// parseGET recognises a well-formed GET line without allocating:
+// exactly two fields under splitFields' separators, the first GET in
+// any ASCII case, the second a decimal uint64 as strconv.ParseUint
+// accepts it. Every other line, a malformed GET included, is left to
+// handleLine.
+func parseGET(line []byte) (uint64, bool) {
+	var f [2][]byte
+	n := 0
+	for i := 0; i < len(line); {
+		r, w := utf8.DecodeRune(line[i:])
+		if unicode.IsSpace(r) {
+			i += w
+			continue
+		}
+		j := i
+		for j < len(line) {
+			r, w := utf8.DecodeRune(line[j:])
+			if unicode.IsSpace(r) {
+				break
+			}
+			j += w
+		}
+		if n == len(f) {
+			return 0, false
+		}
+		f[n] = line[i:j]
+		n++
+		i = j
+	}
+	if n != 2 || !cmdIs(f[0], "GET") || len(f[1]) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range f[1] {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := uint64(c - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }
 
 // lineScratch holds the per-call tokenizing and encoding state of
@@ -418,7 +619,7 @@ func splitFields(dst []string, line string) []string {
 // cmdIs reports whether tok equals the ASCII-uppercase command name,
 // ignoring ASCII case — the allocation-free replacement for
 // strings.ToUpper dispatch.
-func cmdIs(tok, upper string) bool {
+func cmdIs[T string | []byte](tok T, upper string) bool {
 	if len(tok) != len(upper) {
 		return false
 	}
@@ -837,7 +1038,7 @@ func main() {
 		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
 		window    = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
 		maxBatch  = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
-		pending   = flag.Int("coalesce-pending", 0, "max in-flight GETs per coalescer window (0 = unbounded)")
+		pending   = flag.Int("coalesce-pending", 0, "max in-flight coalesced GETs, server-wide (per shard group with -shards; 0 = unbounded)")
 		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")
 		targetP99 = flag.Duration("target-p99", 0, "adaptive admission: hold coalesced flush latency at this p99 target by resizing the pending window online (0 = static -coalesce-pending)")
 		minPend   = flag.Int("coalesce-min", 0, "adaptive admission window floor (0 = -coalesce-pending/64)")
@@ -860,7 +1061,7 @@ func main() {
 		snapEvery = flag.Duration("snapshot-every", 0, "background snapshot period (0 = snapshot only on SNAPSHOT and shutdown)")
 		walParts  = flag.Int("wal-partitions", 0, "WAL partition count, fixed at first boot (0 = the shard count)")
 
-		deadline = flag.Duration("deadline", 0, "per-request budget for GET/PUT/DEL; expiry answers ERR DEADLINE (0 = none)")
+		deadline = flag.Duration("deadline", 0, "budget for each PUT/DEL and each pipelined burst of GETs; expiry answers ERR DEADLINE (0 = none)")
 
 		fKernel   = flag.Float64("fault-kernel", 0, "injected kernel launch failure rate [0,1]")
 		fH2D      = flag.Float64("fault-h2d", 0, "injected host-to-device transfer timeout rate [0,1]")

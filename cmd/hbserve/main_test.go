@@ -37,6 +37,24 @@ func mustServer(t *testing.T, tree *hbtree.Tree[uint64], cfg serveConfig) *serve
 	return s
 }
 
+// ioTimeout bounds every socket read and write of these tests, so a
+// regression in the connection loop fails in seconds instead of hanging
+// until the test binary's timeout.
+const ioTimeout = 5 * time.Second
+
+// dialTest connects to addr with ioTimeout as the connection's deadline
+// (sendLine renews it per exchange) and closes it at cleanup.
+func dialTest(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, ioTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(ioTimeout))
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
 // startServer runs s.acceptLoop on an ephemeral listener and returns a
 // dialer. The listener closes (and the loop exits) at test cleanup; the
 // server itself is shut down there too.
@@ -57,17 +75,14 @@ func startServer(t *testing.T, s *server) func() (net.Conn, *bufio.Reader) {
 		s.shutdown()
 	})
 	return func() (net.Conn, *bufio.Reader) {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
+		conn := dialTest(t, ln.Addr().String())
 		return conn, bufio.NewReader(conn)
 	}
 }
 
 func sendLine(t *testing.T, conn net.Conn, r *bufio.Reader, line string) string {
 	t.Helper()
+	conn.SetDeadline(time.Now().Add(ioTimeout))
 	if _, err := fmt.Fprintln(conn, line); err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +286,7 @@ func TestAcceptLoopRetries(t *testing.T) {
 	defer s.shutdown()
 
 	client, srvConn := net.Pipe()
+	client.SetDeadline(time.Now().Add(ioTimeout))
 	transient := errors.New("accept: too many open files")
 	ln := &scriptedListener{steps: []func() (net.Conn, error){
 		func() (net.Conn, error) { return nil, transient },
@@ -321,10 +337,7 @@ func TestGracefulShutdown(t *testing.T) {
 		s.acceptLoop(ln)
 	}()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTest(t, ln.Addr().String())
 	r := bufio.NewReader(conn)
 	if got := sendLine(t, conn, r, fmt.Sprintf("GET %d", pairs[1].Key)); got != fmt.Sprintf("VALUE %d", pairs[1].Value) {
 		t.Fatalf("pre-shutdown GET = %q", got)

@@ -2,6 +2,7 @@ package hbtree_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"hbtree"
@@ -102,4 +103,29 @@ func ExampleLoad() {
 	fmt.Println(found, v == pairs[100].Value)
 	// Output:
 	// true true
+}
+
+// ExampleCoalescer_SubmitBatch demonstrates submitting a burst of point
+// lookups to a coalescer in one call: the keys are admitted and queued
+// together, and the call returns once every key is answered.
+func ExampleCoalescer_SubmitBatch() {
+	pairs := hbtree.GeneratePairs[uint64](1<<12, 3)
+	tree, err := hbtree.New(pairs, hbtree.Options{})
+	if err != nil {
+		panic(err)
+	}
+	srv, co := tree.Coalesced()
+	defer srv.Close()
+	defer co.Close()
+
+	keys := []uint64{pairs[5].Key, pairs[9].Key, pairs[5].Key + 1}
+	vals, found, errs := make([]uint64, len(keys)), make([]bool, len(keys)), make([]error, len(keys))
+	co.SubmitBatch(context.Background(), keys, vals, found, errs)
+	for i := range keys {
+		fmt.Println(found[i], errs[i] == nil, !found[i] || vals[i] == hbtree.ValueFor(keys[i]))
+	}
+	// Output:
+	// true true true
+	// true true true
+	// false true true
 }

@@ -47,7 +47,7 @@ type OverloadMetrics struct {
 	Shed         int64         // requests refused with ErrOverloaded (cumulative)
 	DegradedShed int64         // of those, refused by the degraded clamp
 	ShedRate     float64       // sheds/sec over the last second
-	AdmitWindow  int           // current per-queue admission window
+	AdmitWindow  int           // current admission window
 	TargetP99    time.Duration // controller target (0 = static admission)
 	RetryAfter   time.Duration // hint currently attached to sheds
 }
@@ -69,7 +69,10 @@ type rateTracker struct {
 	bucket [rateBuckets]int64 // which absolute bucket each slot holds
 }
 
-func (r *rateTracker) note(nowNs int64) {
+func (r *rateTracker) note(nowNs int64) { r.noteN(nowNs, 1) }
+
+// noteN counts n events at nowNs.
+func (r *rateTracker) noteN(nowNs, n int64) {
 	b := nowNs / rateBucketNs
 	i := int(b % rateBuckets)
 	r.mu.Lock()
@@ -77,7 +80,7 @@ func (r *rateTracker) note(nowNs int64) {
 		r.bucket[i] = b
 		r.counts[i] = 0
 	}
-	r.counts[i]++
+	r.counts[i] += n
 	r.mu.Unlock()
 }
 
@@ -111,7 +114,7 @@ type controller struct {
 	stepNs int64 // step interval
 	incr   int64 // additive increase per step
 
-	window   atomic.Int64 // current per-queue admission window
+	window   atomic.Int64 // current admission window
 	ewma     atomic.Int64 // smoothed flush span, ns (alpha 1/8)
 	peak     atomic.Int64 // worst span since the last step
 	lastStep atomic.Int64 // unix ns of the last step
@@ -248,15 +251,20 @@ func (c *Coalescer[K]) refreshOverload(nowNs int64) {
 	c.overload.Store(&OverloadError{RetryAfter: ra})
 }
 
-// noteShed counts one shed into the windowed rate tracker.
-func (c *Coalescer[K]) noteShed() {
-	c.shedRate.note(time.Now().UnixNano())
+// noteShed counts n shed requests, deg of them refused by the degraded
+// clamp, into the counters and the windowed rate tracker.
+func (c *Coalescer[K]) noteShed(n, deg int) {
+	c.shed.Add(int64(n))
+	if deg > 0 {
+		c.degShed.Add(int64(deg))
+	}
+	c.shedRate.noteN(time.Now().UnixNano(), int64(n))
 }
 
 // overloadErr returns the current cached typed shed error.
 func (c *Coalescer[K]) overloadErr() error { return c.overload.Load() }
 
-// AdmitWindow returns the current per-queue admission window: the
+// AdmitWindow returns the current admission window: the
 // controller's live value under adaptive admission, Options.MaxPending
 // otherwise (0 = unbounded).
 func (c *Coalescer[K]) AdmitWindow() int {

@@ -17,7 +17,7 @@ import (
 var ErrClosed = errors.New("serve: coalescer closed")
 
 // ErrOverloaded is returned for requests shed by admission control: the
-// shard's in-flight window is at Options.MaxPending and Options.Shed
+// coalescer's in-flight window is at Options.MaxPending and Options.Shed
 // selected fail-fast over backpressure. The request was never queued;
 // the caller may retry or degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
@@ -50,9 +50,11 @@ type Options struct {
 	// ignores it.
 	Queue int
 
-	// MaxPending bounds each shard's in-flight window: the number of
+	// MaxPending bounds the coalescer's in-flight window: the number of
 	// accepted requests whose result has not yet been delivered,
-	// whether still in the forming batch or inside a flush. Zero leaves
+	// whether still in a forming batch or inside a flush. The bound is
+	// one token pool shared by every queue shard, so its meaning does
+	// not depend on Shards (or on GOMAXPROCS through it). Zero leaves
 	// the window unbounded — the prior behaviour, where a deep client
 	// pipeline makes tail latency a function of queue depth (the
 	// ROADMAP's 52-110ms p99 at depth 512). With a bound, latency is
@@ -75,7 +77,7 @@ type Options struct {
 
 	// DegradedPending is the fault-aware admission window: while the
 	// backend reports Degraded (breaker open, batches answered by the
-	// slower CPU fallback), each shard admits only this many undelivered
+	// slower CPU fallback), the coalescer admits only this many undelivered
 	// requests and fails the excess fast with ErrOverloaded — regardless
 	// of Shed, since backpressure against a degraded backend just builds
 	// the queue the bound exists to prevent. Zero selects MaxPending/2
@@ -89,7 +91,7 @@ type Options struct {
 
 	// TargetP99, when positive, turns on adaptive admission (DESIGN
 	// §11): a closed-loop controller measures per-flush spans (first
-	// enqueue to result delivery) and resizes each queue's admission
+	// enqueue to result delivery) and resizes the coalescer's admission
 	// window online — AIMD, clamped to [MinPending, MaxPending] — to
 	// hold this latency target. Adaptive admission always sheds at the
 	// window (fail-fast with a typed OverloadError carrying a
@@ -126,9 +128,18 @@ type Result[K keys.Key] struct {
 // to the pool once every caller's result has been delivered.
 type pending[K keys.Key] struct {
 	keys    []K
-	replies []chan Result[K]
+	replies []chan Result[K] // nil for a slot submitted by a burst
 	values  []K
 	found   []bool
+
+	// Burst slots (SubmitBatch): bursts[i] is the burst that submitted
+	// key i and bidx[i] the key's position in it. Both stay empty while
+	// the batch holds only single-key submissions, so the Submit path
+	// pays nothing for them; the first burst to join pads them with nil
+	// entries for the slots already taken.
+	bursts []*burst[K]
+	bidx   []int32
+	fin    []*burst[K] // bursts this batch answered last, woken after its tokens return
 
 	// Sorted-flush staging: each sorted slot's submission position and
 	// the sorted-slot-to-unique-slot map after duplicate folding. Both
@@ -138,6 +149,10 @@ type pending[K keys.Key] struct {
 	// through perm, so no second key array is needed.
 	perm []int32
 	uref []int32
+	// sref maps each submission slot to its unique slot after a sorted
+	// flush, so burst slots are answered in submission order, one burst
+	// lock per run of slots.
+	sref []int32
 
 	// t0 is the batch's first-enqueue time, armed only under adaptive
 	// admission: the flush span time.Since(t0) is the latency the
@@ -155,12 +170,77 @@ type shard[K keys.Key] struct {
 	cur    *pending[K] // nil after close
 	timer  *time.Timer
 	closed bool
+}
 
-	// slots is the admission window: capacity MaxPending, one token
-	// held per accepted-but-undelivered request. nil when unbounded.
-	// Tokens are acquired before the shard lock (a blocked submitter
-	// must not hold it) and released after result delivery.
-	slots chan struct{}
+// tokenPool is the coalescer-wide admission window: one count of
+// accepted-but-undelivered requests shared by every queue shard, so
+// MaxPending bounds the whole coalescer whatever the queue count.
+// Tokens are taken before any shard lock (a blocked submitter must not
+// hold the lock a flusher needs) and returned after result delivery.
+type tokenPool struct {
+	used atomic.Int64
+
+	// waiters counts submitters parked for room in backpressure mode;
+	// release wakes them by closing wake and installing a fresh channel,
+	// which only happens while someone waits.
+	waiters atomic.Int32
+	mu      sync.Mutex
+	wake    chan struct{}
+}
+
+// take acquires up to n tokens without lifting the pool past limit and
+// returns how many it got.
+func (tp *tokenPool) take(n, limit int) int {
+	for {
+		u := tp.used.Load()
+		room := int64(limit) - u
+		if room <= 0 {
+			return 0
+		}
+		k := min(int64(n), room)
+		if tp.used.CompareAndSwap(u, u+k) {
+			return int(k)
+		}
+	}
+}
+
+// takeWait is take that parks until at least one token is free: the
+// backpressure mode. It gives up with ErrClosed when done closes and
+// with ErrDeadlineExceeded when ctx expires.
+func (tp *tokenPool) takeWait(ctx context.Context, done <-chan struct{}, n, limit int) (int, error) {
+	if k := tp.take(n, limit); k > 0 {
+		return k, nil
+	}
+	tp.waiters.Add(1)
+	defer tp.waiters.Add(-1)
+	for {
+		// Load the wake channel before re-checking, so a release that
+		// lands after the check closes the channel this waiter holds.
+		tp.mu.Lock()
+		wake := tp.wake
+		tp.mu.Unlock()
+		if k := tp.take(n, limit); k > 0 {
+			return k, nil
+		}
+		select {
+		case <-wake:
+		case <-done:
+			return 0, ErrClosed
+		case <-ctx.Done():
+			return 0, ErrDeadlineExceeded
+		}
+	}
+}
+
+// release returns n tokens and wakes any parked submitter.
+func (tp *tokenPool) release(n int) {
+	tp.used.Add(-int64(n))
+	if tp.waiters.Load() > 0 {
+		tp.mu.Lock()
+		close(tp.wake)
+		tp.wake = make(chan struct{})
+		tp.mu.Unlock()
+	}
 }
 
 // Coalescer collects point lookups arriving from many goroutines into
@@ -173,10 +253,11 @@ type shard[K keys.Key] struct {
 // (by the shard's flusher goroutine), whichever comes first, so a lone
 // request is never starved.
 //
-// With Options.MaxPending set, each shard admits at most that many
-// undelivered requests; excess submissions block for backpressure or,
-// with Options.Shed, fail fast with ErrOverloaded — the admission
-// control that keeps tail latency bounded under deep client pipelines.
+// With Options.MaxPending set, the coalescer admits at most that many
+// undelivered requests across all its shards; excess submissions block
+// for backpressure or, with Options.Shed, fail fast with ErrOverloaded
+// — the admission control that keeps tail latency bounded under deep
+// client pipelines.
 //
 // Close stops intake: later submissions fail fast with ErrClosed, and
 // requests still pending when Close runs are failed with ErrClosed
@@ -193,8 +274,12 @@ type Coalescer[K keys.Key] struct {
 	shards []shard[K]
 	next   atomic.Uint64 // round-robin shard cursor
 
+	// pool is the admission window (nil when MaxPending is unbounded).
+	pool *tokenPool
+
 	batchPool sync.Pool // *pending[K]
 	replyPool sync.Pool // chan Result[K], capacity 1
+	burstPool sync.Pool // *burst[K]
 
 	done      chan struct{} // closed when Close runs; stops the flushers
 	closeOnce sync.Once
@@ -275,6 +360,9 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		ra = time.Millisecond
 	}
 	c.overload.Store(&OverloadError{RetryAfter: ra})
+	if opt.MaxPending > 0 {
+		c.pool = &tokenPool{wake: make(chan struct{})}
+	}
 	c.batchPool.New = func() any {
 		p := &pending[K]{
 			keys:    make([]K, 0, opt.MaxBatch),
@@ -289,14 +377,12 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		return p
 	}
 	c.replyPool.New = func() any { return make(chan Result[K], 1) }
+	c.burstPool.New = func() any { return newBurst[K]() }
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.cur = c.getBatch()
 		sh.timer = time.NewTimer(time.Hour)
 		sh.timer.Stop()
-		if opt.MaxPending > 0 {
-			sh.slots = make(chan struct{}, opt.MaxPending)
-		}
 		c.wg.Add(1)
 		go c.flusher(sh)
 	}
@@ -307,6 +393,9 @@ func (c *Coalescer[K]) getBatch() *pending[K] {
 	p := c.batchPool.Get().(*pending[K])
 	p.keys = p.keys[:0]
 	p.replies = p.replies[:0]
+	clear(p.bursts) // don't pin delivered bursts from the pool
+	p.bursts = p.bursts[:0]
+	p.bidx = p.bidx[:0]
 	p.t0 = time.Time{}
 	return p
 }
@@ -377,83 +466,24 @@ func (c *Coalescer[K]) submit(key K, reply chan Result[K]) error {
 // channel makes the extra select case free for undeadlined callers).
 func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K]) error {
 	sh := &c.shards[c.next.Add(1)%uint64(len(c.shards))]
-	if sh.slots != nil && c.ctl != nil {
-		// Adaptive admission: the effective window is the controller's
-		// live value, clamped to DegradedPending while the backend is
-		// degraded (the breaker path composes as a clamp on the same
-		// window, not a second mechanism). Past the window the request
-		// always fails fast with the cached typed error — backpressure
-		// would hide the latency signal the controller regulates. The
-		// length check is soft (a racing submitter can land one past
-		// it), but the token channel's MaxPending capacity stays the
-		// hard cap.
-		w := int(c.ctl.window.Load())
-		eff := w
-		clamped := false
-		if eff > c.degPending && len(sh.slots) >= c.degPending && c.be.Degraded() {
-			eff = c.degPending
-			clamped = true
-		}
-		if n := len(sh.slots); n >= eff {
-			c.shed.Add(1)
-			if clamped && n < w {
-				c.degShed.Add(1)
-			}
-			c.noteShed()
-			return c.overloadErr()
-		}
-		select {
-		case sh.slots <- struct{}{}:
-		default:
-			c.shed.Add(1)
-			c.noteShed()
-			return c.overloadErr()
-		}
-	} else if sh.slots != nil {
-		// Fault-aware admission: while the backend is degraded, the
-		// effective window shrinks to DegradedPending and the excess
-		// fails fast — even in backpressure mode, since queueing against
-		// the slower fallback path only builds the backlog the bound
-		// exists to prevent. The cheap length check runs first so the
-		// healthy path never pays for the breaker-state load.
-		if len(sh.slots) >= c.degPending && c.be.Degraded() {
-			c.shed.Add(1)
-			c.degShed.Add(1)
-			c.noteShed()
-			return c.overloadErr()
-		}
-		// Admission: take a window token before the shard lock so a
-		// blocked submitter never holds the lock the flusher needs.
-		if c.opt.Shed {
-			select {
-			case sh.slots <- struct{}{}:
-			default:
-				c.shed.Add(1)
-				c.noteShed()
-				return c.overloadErr()
-			}
-		} else {
-			select {
-			case sh.slots <- struct{}{}:
-			case <-c.done:
-				return ErrClosed
-			case <-ctx.Done():
-				c.deadlines.Add(1)
-				return ErrDeadlineExceeded
-			}
+	if c.pool != nil {
+		if _, err := c.admit(ctx, 1); err != nil {
+			return err
 		}
 	}
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		if sh.slots != nil {
-			<-sh.slots
-		}
+		c.releaseSlots(1)
 		return ErrClosed
 	}
 	p := sh.cur
 	p.keys = append(p.keys, key)
 	p.replies = append(p.replies, reply)
+	if len(p.bursts) > 0 {
+		p.bursts = append(p.bursts, nil)
+		p.bidx = append(p.bidx, 0)
+	}
 	if len(p.keys) >= c.opt.MaxBatch {
 		// The submitter that filled the batch flushes it inline: the
 		// shard gets a fresh batch and the lock is dropped before the
@@ -461,7 +491,7 @@ func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K
 		sh.cur = c.getBatch()
 		sh.timer.Stop()
 		sh.mu.Unlock()
-		c.flush(sh, p)
+		c.flush(p)
 		return nil
 	}
 	if len(p.keys) == 1 {
@@ -472,6 +502,68 @@ func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K
 	}
 	sh.mu.Unlock()
 	return nil
+}
+
+// admit charges n requests against the admission window (c.pool must be
+// non-nil) and returns how many were admitted. A non-nil error is the
+// answer for the n-k requests that were not: ErrOverloaded when shed
+// (counted in Shed), ErrClosed, or ErrDeadlineExceeded (counted in
+// Deadlines) when a backpressure wait gave up. In backpressure mode a
+// nil error with k < n means the caller must come back for the rest.
+func (c *Coalescer[K]) admit(ctx context.Context, n int) (int, error) {
+	if c.ctl != nil {
+		// Adaptive admission: the effective window is the controller's
+		// live value, clamped to DegradedPending while the backend is
+		// degraded (the breaker path composes as a clamp on the same
+		// window, not a second mechanism). Past the window the excess
+		// always fails fast with the cached typed error — backpressure
+		// would hide the latency signal the controller regulates. The
+		// window never exceeds MaxPending, which stays the hard cap.
+		w := int(c.ctl.window.Load())
+		eff, clamped := w, false
+		if eff > c.degPending && int(c.pool.used.Load())+n > c.degPending && c.be.Degraded() {
+			eff, clamped = c.degPending, true
+		}
+		k := c.pool.take(n, eff)
+		if k == n {
+			return k, nil
+		}
+		deg := 0
+		if clamped {
+			// The clamp's share of the sheds: those the unclamped window
+			// would still have had room for.
+			deg = min(n-k, max(0, w-int(c.pool.used.Load())))
+		}
+		c.noteShed(n-k, deg)
+		return k, c.overloadErr()
+	}
+	// Fault-aware admission: while the backend is degraded, the
+	// effective window shrinks to DegradedPending and the excess fails
+	// fast — even in backpressure mode, since queueing against the
+	// slower fallback path only builds the backlog the bound exists to
+	// prevent. The cheap length check runs first so the healthy path
+	// never pays for the breaker-state load.
+	if int(c.pool.used.Load())+n > c.degPending && c.be.Degraded() {
+		k := c.pool.take(n, c.degPending)
+		if k < n {
+			c.noteShed(n-k, n-k)
+			return k, c.overloadErr()
+		}
+		return k, nil
+	}
+	if c.opt.Shed {
+		k := c.pool.take(n, c.opt.MaxPending)
+		if k < n {
+			c.noteShed(n-k, 0)
+			return k, c.overloadErr()
+		}
+		return k, nil
+	}
+	k, err := c.pool.takeWait(ctx, c.done, n, c.opt.MaxPending)
+	if err == ErrDeadlineExceeded {
+		c.deadlines.Add(int64(n))
+	}
+	return k, err
 }
 
 // flusher is a shard's deadline goroutine: it waits for the shard's
@@ -490,7 +582,7 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 			}
 			sh.cur = c.getBatch()
 			sh.mu.Unlock()
-			c.flush(sh, p)
+			c.flush(p)
 		case <-c.done:
 			return
 		}
@@ -499,7 +591,7 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 
 // flush serves one batch with the allocation-free batch search and
 // distributes each caller's result, then recycles the batch and
-// releases the shard's admission window tokens.
+// releases its admission window tokens.
 //
 // The default sorted flush presorts the keys (tracking each key's
 // submission position), folds exact duplicates into one batch slot, and
@@ -508,7 +600,7 @@ func (c *Coalescer[K]) flusher(sh *shard[K]) {
 // per level, and which decomposes into one contiguous run per shard on
 // a sharded backend. Each unique result fans back out to every waiter
 // that submitted that key.
-func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
+func (c *Coalescer[K]) flush(p *pending[K]) {
 	n := len(p.keys)
 	t0 := p.t0
 	if c.opt.FlushStall > 0 {
@@ -523,15 +615,20 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 	if c.opt.Unsorted {
 		_, err := c.be.LookupBatchInto(p.keys, values, found)
 		if err != nil {
-			c.fail(sh, p, err)
+			c.fail(p, err)
 			return
 		}
-		for i, reply := range p.replies {
-			reply <- Result[K]{Value: values[i], Found: found[i]}
+		if len(p.bursts) > 0 {
+			c.deliver(p, values, found, nil, nil)
+		} else {
+			for i, reply := range p.replies {
+				reply <- Result[K]{Value: values[i], Found: found[i]}
+			}
 		}
 		c.batches.Add(1)
 		c.queries.Add(int64(n))
-		c.releaseSlots(sh, n)
+		c.releaseSlots(n)
+		c.wake(p)
 		c.batchPool.Put(p)
 		c.noteFlushSpan(t0)
 		return
@@ -558,17 +655,29 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 
 	_, err := c.be.LookupBatchSortedInto(skeys[:u], values[:u], found[:u])
 	if err != nil {
-		c.fail(sh, p, err)
+		c.fail(p, err)
 		return
 	}
-	for i := 0; i < n; i++ {
-		j := uref[i]
-		p.replies[perm[i]] <- Result[K]{Value: values[j], Found: found[j]}
+	if len(p.bursts) > 0 {
+		if p.sref == nil {
+			p.sref = make([]int32, c.opt.MaxBatch)
+		}
+		sref := p.sref[:n]
+		for i := 0; i < n; i++ {
+			sref[perm[i]] = uref[i]
+		}
+		c.deliver(p, values, found, sref, nil)
+	} else {
+		for i := 0; i < n; i++ {
+			j := uref[i]
+			p.replies[perm[i]] <- Result[K]{Value: values[j], Found: found[j]}
+		}
 	}
 	c.batches.Add(1)
 	c.queries.Add(int64(n))
 	c.folded.Add(int64(n - u))
-	c.releaseSlots(sh, n)
+	c.releaseSlots(n)
+	c.wake(p)
 	c.batchPool.Put(p)
 	c.noteFlushSpan(t0)
 }
@@ -576,24 +685,26 @@ func (c *Coalescer[K]) flush(sh *shard[K], p *pending[K]) {
 // fail delivers err to every caller in the batch and recycles it. The
 // span still feeds the controller: a failed flush occupied the pipeline
 // just the same.
-func (c *Coalescer[K]) fail(sh *shard[K], p *pending[K], err error) {
+func (c *Coalescer[K]) fail(p *pending[K], err error) {
 	t0 := p.t0
-	for _, reply := range p.replies {
-		reply <- Result[K]{Err: err}
+	if len(p.bursts) > 0 {
+		c.deliver(p, nil, nil, nil, err)
+	} else {
+		for _, reply := range p.replies {
+			reply <- Result[K]{Err: err}
+		}
 	}
-	c.releaseSlots(sh, len(p.replies))
+	c.releaseSlots(len(p.keys))
+	c.wake(p)
 	c.batchPool.Put(p)
 	c.noteFlushSpan(t0)
 }
 
-// releaseSlots returns n admission tokens to the shard's window once
-// their requests' results have been delivered.
-func (c *Coalescer[K]) releaseSlots(sh *shard[K], n int) {
-	if sh.slots == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		<-sh.slots
+// releaseSlots returns n admission tokens to the window once their
+// requests' results have been delivered.
+func (c *Coalescer[K]) releaseSlots(n int) {
+	if c.pool != nil {
+		c.pool.release(n)
 	}
 }
 
@@ -612,7 +723,7 @@ func (c *Coalescer[K]) Close() {
 			sh.timer.Stop()
 			sh.mu.Unlock()
 			if p != nil && len(p.keys) > 0 {
-				c.fail(sh, p, ErrClosed)
+				c.fail(p, ErrClosed)
 			}
 		}
 	})

@@ -1063,14 +1063,19 @@ func (b shardBackend[K]) lookupBatchInto(queries []K, values []K, found []bool, 
 type ShardedCoalescer[K keys.Key] struct {
 	s   *ShardedServer[K]
 	cos []*Coalescer[K]
+
+	burstPool sync.Pool    // *burst[K]
+	deadlines atomic.Int64 // burst keys abandoned with ErrDeadlineExceeded
 }
 
 // Coalesce starts one coalescer per current shard over the shared
 // sharded backend. When opt.Shards is zero, each per-shard coalescer
 // gets GOMAXPROCS/T pending queues (at least one) so the total queue
 // count stays at GOMAXPROCS across the server. Admission control
-// (opt.MaxPending, opt.Shed, opt.DegradedPending) applies per pending
-// queue, exactly as on a single-tree Coalescer.
+// (opt.MaxPending, opt.Shed, opt.DegradedPending) applies per shard
+// group — each group's window spans all its queues, exactly as on a
+// single-tree Coalescer — so the server admits at most T × MaxPending
+// requests for T shards, whatever GOMAXPROCS is.
 func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 	T := s.Shards()
 	if opt.Shards <= 0 {
@@ -1082,6 +1087,7 @@ func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 		cos[i] = NewCoalescer[K](be, opt)
 	}
 	c := &ShardedCoalescer[K]{s: s, cos: cos}
+	c.burstPool.New = func() any { return newBurst[K]() }
 	if opt.TargetP99 > 0 {
 		// Wire the update pumps' spans into every group's controller:
 		// the device is shared, so a write-path slowdown anywhere is a
@@ -1096,11 +1102,11 @@ func (s *ShardedServer[K]) Coalesce(opt Options) *ShardedCoalescer[K] {
 // after a split (the group is only an affinity hint — the flush
 // re-routes under its own pin).
 func (c *ShardedCoalescer[K]) group(key K) *Coalescer[K] {
-	i := c.s.route(key)
-	if i >= len(c.cos) {
-		i = len(c.cos) - 1
-	}
-	return c.cos[i]
+	return c.cos[c.groupIndex(key)]
+}
+
+func (c *ShardedCoalescer[K]) groupIndex(key K) int {
+	return min(c.s.route(key), len(c.cos)-1)
 }
 
 // Lookup routes one coalesced lookup to the owning shard's coalescer
@@ -1112,6 +1118,58 @@ func (c *ShardedCoalescer[K]) Lookup(key K) (K, bool, error) {
 // LookupCtx is Lookup with a caller deadline (see Coalescer.LookupCtx).
 func (c *ShardedCoalescer[K]) LookupCtx(ctx context.Context, key K) (K, bool, error) {
 	return c.group(key).LookupCtx(ctx, key)
+}
+
+// SubmitBatch looks up a burst of keys across the shard groups and
+// blocks until every key is answered (see Coalescer.SubmitBatch). The
+// burst splits by owning shard: each group's share is charged against
+// that group's admission window once and joins one of its queues, and
+// the caller is woken once, when the last key of the whole burst is
+// answered.
+func (c *ShardedCoalescer[K]) SubmitBatch(ctx context.Context, keys, vals []K, found []bool, errs []error) {
+	n := len(keys)
+	if n == 0 {
+		return
+	}
+	b := c.burstPool.Get().(*burst[K])
+	b.start(keys, vals, found, errs)
+	// Counting sort of the positions by group: cnt[g] is where group g's
+	// run starts in b.pos.
+	g := len(c.cos)
+	if cap(b.grp) < n {
+		b.grp = make([]int32, n)
+	}
+	if cap(b.cnt) < g+1 {
+		b.cnt = make([]int32, g+1)
+	}
+	grp, cnt := b.grp[:n], b.cnt[:g+1]
+	clear(cnt)
+	for i, k := range keys {
+		gi := c.groupIndex(k)
+		grp[i] = int32(gi)
+		cnt[gi+1]++
+	}
+	for i := 1; i <= g; i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for i, gi := range grp {
+		b.pos[cnt[gi]] = int32(i)
+		cnt[gi]++
+	}
+	// cnt[i] now ends group i's run.
+	lo := int32(0)
+	for i, co := range c.cos {
+		if hi := cnt[i]; hi > lo {
+			co.enqueue(ctx, b, b.pos[lo:hi])
+			lo = hi
+		}
+	}
+	expired, reusable := b.wait(ctx)
+	c.deadlines.Add(int64(expired))
+	if reusable {
+		b.release()
+		c.burstPool.Put(b)
+	}
 }
 
 // Submit routes one lookup to the owning shard's coalescer and returns
@@ -1172,7 +1230,7 @@ func (c *ShardedCoalescer[K]) DegradedShed() int64 {
 // Deadlines returns the requests abandoned with ErrDeadlineExceeded
 // across all shards.
 func (c *ShardedCoalescer[K]) Deadlines() int64 {
-	var n int64
+	n := c.deadlines.Load()
 	for _, co := range c.cos {
 		n += co.Deadlines()
 	}

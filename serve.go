@@ -80,8 +80,10 @@ func NewLockedServer[K Key](t *Tree[K]) *Server[K] {
 }
 
 // Coalescer batches concurrent point lookups into LookupBatch calls
-// under a size-or-deadline window. Obtain one with Server.Coalesce or
-// Tree.Coalesced, and Close it to release its flusher goroutine.
+// under a size-or-deadline window. Lookup and Submit take one key;
+// SubmitBatch takes a caller's whole burst, charged against admission
+// once. Obtain one with Server.Coalesce or Tree.Coalesced, and Close it
+// to release its flusher goroutine.
 type Coalescer[K Key] struct {
 	*serve.Coalescer[K]
 }
