@@ -26,13 +26,14 @@
 // Connections are served concurrently through the hbtree.Server
 // reader/writer contract; with -coalesce, GETs from all connections are
 // coalesced into bucket-sized heterogeneous batch searches (the paper's
-// intended operating point), and -coalesce-pending bounds the in-flight
-// GETs server-wide — one window shared by every coalescer queue, per
-// shard group with -shards — with backpressure or (-coalesce-shed)
-// fail-fast shedding. -shards T replaces the single tree with a
-// key-space sharded server: T trees, each with its own snapshot pointer
-// and update pump, so writes clone 1/T of the data and rebuilds
-// overlap. PUT/DEL drive the regular variant's batch update path through
+// intended operating point): a batch flushes as soon as its queue's
+// flusher is free, or after -coalesce-window if one is set.
+// -coalesce-pending bounds the in-flight GETs server-wide — one window
+// shared by every coalescer queue, per shard group with -shards — with
+// backpressure or (-coalesce-shed) fail-fast shedding. -shards T
+// replaces the single tree with a key-space sharded server: T trees,
+// each with its own snapshot pointer and update pump, so writes clone
+// 1/T of the data and rebuilds overlap. PUT/DEL drive the regular variant's batch update path through
 // the per-mode writer discipline. SIGINT/SIGTERM trigger a graceful
 // shutdown that drains in-flight requests — including dispatched
 // per-shard update jobs — before exiting.
@@ -1036,7 +1037,7 @@ func main() {
 		variant   = flag.String("variant", "implicit", "tree organisation: implicit | regular (regular enables PUT/DEL)")
 		leafFill  = flag.Float64("leaf-fill", 0, "regular-variant leaf occupancy at build, in (0,1]; <1 leaves per-leaf gaps so batched updates can apply in place (0 = full leaves, every batch clones)")
 		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent GETs into heterogeneous batch searches")
-		window    = flag.Duration("coalesce-window", 100*time.Microsecond, "max time a GET waits for batch companions")
+		window    = flag.Duration("coalesce-window", 0, "max time a coalesced batch lingers for companions (0 = flush as soon as the queue's flusher is free)")
 		maxBatch  = flag.Int("coalesce-batch", 0, "coalesced batch size (0 = the tree's bucket size)")
 		pending   = flag.Int("coalesce-pending", 0, "max in-flight coalesced GETs, server-wide (per shard group with -shards; 0 = unbounded)")
 		shed      = flag.Bool("coalesce-shed", false, "past -coalesce-pending, fail GETs with ERR overloaded instead of blocking")

@@ -104,9 +104,12 @@ func (r *rateTracker) perSecond(nowNs int64) float64 {
 // the target: above target the window shrinks multiplicatively (×3/4),
 // below half the target it grows additively, and inside the
 // [target/2, target] deadband it holds — which is what keeps the loop
-// from oscillating once it has found the capacity point. The window is
-// clamped to [minW, maxW] and starts at maxW: admission is optimistic
-// and the first overloaded step pulls it down within stepNs.
+// from oscillating once it has found the capacity point. One
+// congestion event gets one cut: a span that began before the last cut
+// reports a backlog that cut already answered, so note drops it, and
+// the next cut waits for a span admitted under the cut window. The
+// window is clamped to [minW, maxW] and starts at maxW: admission is
+// optimistic and the first overloaded step pulls it down within stepNs.
 type controller struct {
 	target int64 // ns, the latency target
 	minW   int64 // floor (resolved Options.MinPending)
@@ -118,6 +121,7 @@ type controller struct {
 	ewma     atomic.Int64 // smoothed flush span, ns (alpha 1/8)
 	peak     atomic.Int64 // worst span since the last step
 	lastStep atomic.Int64 // unix ns of the last step
+	cutAt    atomic.Int64 // unix ns of the last multiplicative cut
 	steps    atomic.Int64 // steps taken (introspection/tests)
 }
 
@@ -149,8 +153,13 @@ func newController(opt Options) *controller {
 	return ctl
 }
 
-// note records one span observation.
-func (ctl *controller) note(spanNs int64) {
+// note records one span observation that ended at nowNs. A span that
+// began before the last cut is ignored: the congestion it saw has
+// already been answered.
+func (ctl *controller) note(spanNs, nowNs int64) {
+	if nowNs-spanNs < ctl.cutAt.Load() {
+		return
+	}
 	for {
 		old := ctl.ewma.Load()
 		nw := old + (spanNs-old)/8
@@ -188,6 +197,7 @@ func (ctl *controller) maybeStep(nowNs int64) bool {
 	switch {
 	case peak > ctl.target:
 		w = w * 3 / 4
+		ctl.cutAt.Store(nowNs)
 	case peak*2 < ctl.target:
 		w += ctl.incr
 	}
@@ -206,7 +216,7 @@ func (ctl *controller) maybeStep(nowNs int64) bool {
 // overload error when a step fires.
 func (c *Coalescer[K]) noteSpan(d time.Duration) {
 	now := time.Now().UnixNano()
-	c.ctl.note(d.Nanoseconds())
+	c.ctl.note(d.Nanoseconds(), now)
 	if c.ctl.maybeStep(now) {
 		c.refreshOverload(now)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"hbtree/internal/keys"
 )
@@ -212,10 +211,7 @@ func (c *Coalescer[K]) appendBurst(sh *shard[K], b *burst[K], pos []int32) []int
 			continue
 		}
 		if first {
-			if c.ctl != nil {
-				p.t0 = time.Now()
-			}
-			sh.timer.Reset(c.opt.Window)
+			c.armLocked(sh, p)
 		}
 		sh.mu.Unlock()
 	}

@@ -22,10 +22,6 @@ var ErrClosed = errors.New("serve: coalescer closed")
 // the caller may retry or degrade.
 var ErrOverloaded = errors.New("serve: coalescer overloaded")
 
-// DefaultWindow is the default coalescing deadline: a lone request
-// waits at most this long for companions before its batch is flushed.
-const DefaultWindow = 100 * time.Microsecond
-
 // Options configures a Coalescer.
 type Options struct {
 	// MaxBatch flushes a shard's batch as soon as it holds this many
@@ -33,16 +29,22 @@ type Options struct {
 	// exactly one bucket of the heterogeneous search.
 	MaxBatch int
 
-	// Window is the deadline: the first request of a batch waits at
-	// most this long before the batch is flushed regardless of size.
-	// Zero selects DefaultWindow.
+	// Window is the linger deadline. Zero (the default) means no
+	// linger: the first request of a batch wakes its shard's flusher,
+	// which takes whatever has gathered by the time it runs, so batch
+	// size follows load — requests that arrive while a flush is busy
+	// form the next batch. A positive Window instead holds each batch
+	// until its first request has waited this long (or the batch
+	// fills); Go rounds sub-millisecond timers up to roughly a
+	// millisecond on some hosts, so every lone request then pays that.
 	Window time.Duration
 
 	// Shards is the number of independent pending queues; submissions
 	// are spread across them so concurrent producers do not serialise
-	// on one lock, and each shard flushes on its own size-or-deadline
-	// window. Zero selects GOMAXPROCS. Use 1 to reproduce the single-
-	// queue discipline (deterministic batch formation).
+	// on one lock, and each shard flushes on its own trigger (size, and
+	// its free flusher or Window deadline). Zero selects GOMAXPROCS.
+	// Use 1 to reproduce the single-queue discipline (deterministic
+	// batch formation).
 	Shards int
 
 	// Queue is retained for compatibility with the channel-based
@@ -160,15 +162,16 @@ type pending[K keys.Key] struct {
 	t0 time.Time
 }
 
-// shard is one independent pending queue with its own deadline timer.
-// The timer is created once and re-armed on each batch's first request
-// (Go 1.23 timer semantics make Reset/Stop race-free without channel
-// draining); a per-shard goroutine waits on it and flushes
-// deadline-expired batches.
+// shard is one independent pending queue with its own flusher
+// goroutine, which a batch's first request wakes through kick (Window
+// zero) or by re-arming the shard's deadline timer (positive Window).
+// The timer is created once (Go 1.23 timer semantics make Reset/Stop
+// race-free without channel draining).
 type shard[K keys.Key] struct {
 	mu     sync.Mutex
 	cur    *pending[K] // nil after close
 	timer  *time.Timer
+	kick   chan struct{} // capacity 1: one wake-up pending is enough
 	closed bool
 }
 
@@ -247,11 +250,14 @@ func (tp *tokenPool) release(n int) {
 // batches and serves each batch with one Server.LookupBatchInto call —
 // the request-coalescing discipline that recovers the paper's batched
 // throughput from a point-request workload. Submissions are spread
-// round-robin over independent shards; a shard's batch is flushed when
-// it reaches MaxBatch requests (inline, by the submitter that filled
-// it) or when its oldest request has waited for the Window deadline
-// (by the shard's flusher goroutine), whichever comes first, so a lone
-// request is never starved.
+// round-robin over independent shards. A shard's batch is flushed
+// inline by the submitter that fills it to MaxBatch; otherwise the
+// shard's flusher goroutine takes it. By default the flusher is woken
+// by the batch's first request and takes whatever has gathered by the
+// time it runs — while it flushes, the next batch forms behind it, so
+// batches grow with load and a lone request never lingers. With a
+// positive Options.Window the flusher instead waits until the batch's
+// oldest request has waited that long.
 //
 // With Options.MaxPending set, the coalescer admits at most that many
 // undelivered requests across all its shards; excess submissions block
@@ -313,9 +319,6 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = be.Options().BucketSize
 	}
-	if opt.Window <= 0 {
-		opt.Window = DefaultWindow
-	}
 	if opt.Shards <= 0 {
 		opt.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -353,8 +356,8 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		c.ctl = newController(opt)
 	}
 	// The cached shed error: static coalescers hint one coalescing
-	// window (the pre-adaptive retry advice); adaptive steps refresh it
-	// with the live drain estimate.
+	// window, floored at 1ms (the pre-adaptive retry advice); adaptive
+	// steps refresh it with the live drain estimate.
 	ra := opt.Window
 	if ra < time.Millisecond {
 		ra = time.Millisecond
@@ -383,6 +386,7 @@ func NewCoalescer[K keys.Key](be Backend[K], opt Options) *Coalescer[K] {
 		sh.cur = c.getBatch()
 		sh.timer = time.NewTimer(time.Hour)
 		sh.timer.Stop()
+		sh.kick = make(chan struct{}, 1)
 		c.wg.Add(1)
 		go c.flusher(sh)
 	}
@@ -452,7 +456,7 @@ func (c *Coalescer[K]) LookupCtx(ctx context.Context, key K) (K, bool, error) {
 }
 
 // submit appends the request to a shard's forming batch, arming the
-// shard's deadline timer on the batch's first request and flushing
+// shard's flush trigger on the batch's first request and flushing
 // inline when the batch fills. A non-nil error (ErrClosed,
 // ErrOverloaded) means the request was not queued and nothing will be
 // delivered on reply.
@@ -495,13 +499,29 @@ func (c *Coalescer[K]) submitCtx(ctx context.Context, key K, reply chan Result[K
 		return nil
 	}
 	if len(p.keys) == 1 {
-		if c.ctl != nil {
-			p.t0 = time.Now()
-		}
-		sh.timer.Reset(c.opt.Window)
+		c.armLocked(sh, p)
 	}
 	sh.mu.Unlock()
 	return nil
+}
+
+// armLocked starts the flush trigger for batch p, whose first request
+// just landed on shard sh (sh.mu held): with no Window it wakes the
+// shard's flusher — a non-blocking send, since a kick already pending
+// will be taken before the flusher next reads sh.cur — and with a
+// Window it arms the deadline timer.
+func (c *Coalescer[K]) armLocked(sh *shard[K], p *pending[K]) {
+	if c.ctl != nil {
+		p.t0 = time.Now()
+	}
+	if c.opt.Window > 0 {
+		sh.timer.Reset(c.opt.Window)
+		return
+	}
+	select {
+	case sh.kick <- struct{}{}:
+	default:
+	}
 }
 
 // admit charges n requests against the admission window (c.pool must be
@@ -566,26 +586,36 @@ func (c *Coalescer[K]) admit(ctx context.Context, n int) (int, error) {
 	return k, err
 }
 
-// flusher is a shard's deadline goroutine: it waits for the shard's
-// reused timer to fire and flushes whatever has accumulated. An empty
-// or already-stolen batch is a benign wakeup.
+// flusher is a shard's flush goroutine: woken by a kick (Window zero)
+// or by the shard's deadline timer (positive Window), it flushes
+// whatever has accumulated by then. Requests arriving during the flush
+// start the next batch and kick again, so the flusher picks that batch
+// up as soon as it is free. An empty or already-stolen batch is a
+// benign wakeup.
 func (c *Coalescer[K]) flusher(sh *shard[K]) {
 	defer c.wg.Done()
 	for {
 		select {
+		case <-sh.kick:
+			// The kick readied this goroutine on the submitter's P, where
+			// it would run the moment the submitter parks and flush a
+			// batch of one. Yielding once lets callers that are already
+			// runnable join the batch first; with nothing else runnable
+			// it costs one scheduler pass, not a timer.
+			runtime.Gosched()
 		case <-sh.timer.C:
-			sh.mu.Lock()
-			p := sh.cur
-			if sh.closed || len(p.keys) == 0 {
-				sh.mu.Unlock()
-				continue
-			}
-			sh.cur = c.getBatch()
-			sh.mu.Unlock()
-			c.flush(p)
 		case <-c.done:
 			return
 		}
+		sh.mu.Lock()
+		p := sh.cur
+		if sh.closed || len(p.keys) == 0 {
+			sh.mu.Unlock()
+			continue
+		}
+		sh.cur = c.getBatch()
+		sh.mu.Unlock()
+		c.flush(p)
 	}
 }
 

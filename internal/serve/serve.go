@@ -10,8 +10,9 @@
 // connections, and core.Tree — like the paper's prototype — is written
 // for one caller at a time when it mutates state. Server provides the
 // contract; Coalescer turns concurrent point lookups into LookupBatch
-// calls under a size-or-deadline window, so the serving layer recovers
-// the paper's batched throughput from a point-request workload.
+// calls — each batch flushed when full or as soon as its queue's
+// flusher is free — so the serving layer recovers the paper's batched
+// throughput from a point-request workload.
 //
 // # Snapshot reads and the epoch registry
 //
@@ -108,25 +109,25 @@ type Server[K keys.Key] struct {
 	repairing atomic.Bool
 
 	// Serving metrics (atomic: updated outside the locks).
-	vtimeNs     atomic.Int64 // accumulated virtual serving time, ns
-	lookups     atomic.Int64 // point lookups served individually
-	batched     atomic.Int64 // queries served through LookupBatch
-	batches     atomic.Int64 // LookupBatch calls
-	nodeProbes  atomic.Int64 // inner-node probes issued by sorted batches
-	probesSaved atomic.Int64 // probes the shared descent avoided
+	vtimeNs     atomic.Int64                  // accumulated virtual serving time, ns
+	lookups     atomic.Int64                  // point lookups served individually
+	batched     atomic.Int64                  // queries served through LookupBatch
+	batches     atomic.Int64                  // LookupBatch calls
+	nodeProbes  atomic.Int64                  // inner-node probes issued by sorted batches
+	probesSaved atomic.Int64                  // probes the shared descent avoided
 	levelProbes [core.StatLevels]atomic.Int64 // kernel transactions per level, root first
-	updates     atomic.Int64 // update/rebuild operations applied
-	swaps       atomic.Int64 // snapshot publications (snapshot mode)
-	gpuFaults   atomic.Int64 // injected device faults observed
-	retries     atomic.Int64 // GPU-path retry attempts after a fault
-	fbBatches   atomic.Int64 // batches answered by the CPU fallback
-	fbQueries   atomic.Int64 // queries answered by the CPU fallback
-	deadlines   atomic.Int64 // requests failed with ErrDeadlineExceeded
-	repairs     atomic.Int64 // background replica repairs completed
-	inplace     atomic.Int64 // batches applied in place (delta fast path)
-	cloneFB     atomic.Int64 // batches that fell back to clone-and-swap
-	clonedNodes atomic.Int64 // inner nodes copied by the clone path
-	clonedBytes atomic.Int64 // host bytes copied by the clone path
+	updates     atomic.Int64                  // update/rebuild operations applied
+	swaps       atomic.Int64                  // snapshot publications (snapshot mode)
+	gpuFaults   atomic.Int64                  // injected device faults observed
+	retries     atomic.Int64                  // GPU-path retry attempts after a fault
+	fbBatches   atomic.Int64                  // batches answered by the CPU fallback
+	fbQueries   atomic.Int64                  // queries answered by the CPU fallback
+	deadlines   atomic.Int64                  // requests failed with ErrDeadlineExceeded
+	repairs     atomic.Int64                  // background replica repairs completed
+	inplace     atomic.Int64                  // batches applied in place (delta fast path)
+	cloneFB     atomic.Int64                  // batches that fell back to clone-and-swap
+	clonedNodes atomic.Int64                  // inner nodes copied by the clone path
+	clonedBytes atomic.Int64                  // host bytes copied by the clone path
 }
 
 // pin is the registry reference type every snapshot-mode read holds.

@@ -79,11 +79,12 @@ func NewLockedServer[K Key](t *Tree[K]) *Server[K] {
 	return &Server[K]{serve.NewLockedServer(t.Tree)}
 }
 
-// Coalescer batches concurrent point lookups into LookupBatch calls
-// under a size-or-deadline window. Lookup and Submit take one key;
-// SubmitBatch takes a caller's whole burst, charged against admission
-// once. Obtain one with Server.Coalesce or Tree.Coalesced, and Close it
-// to release its flusher goroutine.
+// Coalescer batches concurrent point lookups into LookupBatch calls:
+// a batch flushes when it fills, or as soon as its queue's flusher is
+// free (after CoalescerOptions.Window, if one is set). Lookup and
+// Submit take one key; SubmitBatch takes a caller's whole burst,
+// charged against admission once. Obtain one with Server.Coalesce or
+// Tree.Coalesced, and Close it to release its flusher goroutines.
 type Coalescer[K Key] struct {
 	*serve.Coalescer[K]
 }
@@ -94,7 +95,7 @@ func (s *Server[K]) Coalesce(opt CoalescerOptions) *Coalescer[K] {
 }
 
 // Coalesced wraps the tree in a Server and a default-configured
-// Coalescer (batch = the tree's bucket size, 100µs window): the
+// Coalescer (batch = the tree's bucket size, no linger window): the
 // one-call path to concurrency-safe, batch-amortised serving. The
 // caller must Close the coalescer when done; closing the server also
 // closes the tree.
